@@ -1,9 +1,11 @@
 #include "check/checker.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <mutex>
 
 #include "common/assert.hpp"
 #include "common/timer.hpp"
@@ -84,6 +86,24 @@ std::uint64_t pattern_fingerprint(const ReductionInput& in) {
   return h;
 }
 
+/// iteration_scale depends only on iter % kScaleTable and body_flops.
+constexpr std::size_t kScaleTable = 1024;
+/// body_flops values below this share one immutable process-wide table
+/// each (8 KB, built on first use), covering every workload in the
+/// repository; serving sites draw body_flops per site, so a table owned
+/// by the checker would be rebuilt on nearly every call.
+constexpr unsigned kSharedScaleFlops = 64;
+
+std::span<const double> shared_scale_table(unsigned flops) {
+  static std::array<std::once_flag, kSharedScaleFlops> built;
+  static std::array<std::array<double, kScaleTable>, kSharedScaleFlops> tables;
+  std::call_once(built[flops], [flops] {
+    for (std::size_t k = 0; k < kScaleTable; ++k)
+      tables[flops][k] = iteration_scale(k, flops);
+  });
+  return tables[flops];
+}
+
 }  // namespace
 
 bool ReductionChecker::slot_sampled(std::uint64_t seed, double rate,
@@ -150,7 +170,7 @@ void ReductionChecker::fold_serial(const ReductionInput& in,
   const auto& ptr = refs.row_ptr();
   const std::uint32_t* idx = refs.indices().data();
   for (std::size_t i = iter_begin; i < iter_end; ++i) {
-    const double s = scale[i & 1023];
+    const double s = scale[i & (kScaleTable - 1)];
     for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
       const std::uint32_t e = idx[j];
       const std::uint32_t base = block_base_[e >> kBlockShift];
@@ -176,7 +196,7 @@ void ReductionChecker::fold_record(const ReductionInput& in,
   const std::uint32_t* idx = refs.indices().data();
   const std::size_t iters = in.pattern.iterations();
   for (std::size_t i = 0; i < iters; ++i) {
-    const double s = scale[i & 1023];
+    const double s = scale[i & (kScaleTable - 1)];
     for (std::uint64_t j = ptr[i]; j < ptr[i + 1]; ++j) {
       const std::uint32_t e = idx[j];
       const std::uint32_t base = block_base_[e >> kBlockShift];
@@ -190,7 +210,7 @@ void ReductionChecker::fold_record(const ReductionInput& in,
   }
 }
 
-void ReductionChecker::fold_replay(const ReductionInput& in,
+bool ReductionChecker::fold_replay(const ReductionInput& in,
                                    std::span<std::uint32_t> counts,
                                    std::span<__int128> qsum,
                                    std::span<std::uint64_t> qabs,
@@ -201,10 +221,36 @@ void ReductionChecker::fold_replay(const ReductionInput& in,
   for (std::size_t k = 0; k < fold_pos_.size(); ++k) {
     const std::uint32_t j = fold_pos_[k];
     const std::uint32_t e = idx[j];
-    const std::uint32_t slot = block_base_[e >> kBlockShift] +
-                               (e & static_cast<std::uint32_t>(kBlock - 1));
-    const double c = vals[j] * scale[fold_iter_[k] & 1023];
+    const std::uint32_t base = block_base_[e >> kBlockShift];
+    if (base == kUnsampled) return false;
+    const std::uint32_t slot =
+        base + (e & static_cast<std::uint32_t>(kBlock - 1));
+    const double c = vals[j] * scale[fold_iter_[k] & (kScaleTable - 1)];
     accumulate_slot(op_, slot, c, counts, qsum, qabs, witness);
+  }
+  return true;
+}
+
+void ReductionChecker::select_blocks(std::size_t dim) {
+  const std::size_t nblocks = (dim + kBlock - 1) >> kBlockShift;
+  block_base_.assign(nblocks, kUnsampled);
+  elements_.clear();
+  const double rate = opt_.sample_rate;
+  const bool all = rate >= 1.0;
+  if (!all && !(rate > 0.0)) return;
+  const std::uint64_t threshold = all ? 0 : sample_threshold(rate);
+  elements_.reserve(
+      all ? dim
+          : static_cast<std::size_t>(static_cast<double>(dim) *
+                                     std::min(1.0, rate * 1.2)) +
+                kBlock);
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    if (!all && element_hash(opt_.seed, b) >= threshold) continue;
+    block_base_[b] = static_cast<std::uint32_t>(elements_.size());
+    const std::size_t e0 = b << kBlockShift;
+    const std::size_t e1 = std::min(dim, e0 + kBlock);
+    for (std::size_t e = e0; e < e1; ++e)
+      elements_.push_back(static_cast<std::uint32_t>(e));
   }
 }
 
@@ -217,32 +263,21 @@ void ReductionChecker::begin(const ReductionInput& in,
   const std::size_t dim = in.pattern.dim;
 
   // --- Select the sampled blocks and snapshot their pre-execution state.
-  // One hash decides a whole 16-element block, so this pass is O(dim/16)
-  // plus O(sampled) for the snapshot — the unsampled majority of the
-  // output array is never touched.
-  const std::size_t nblocks = (dim + kBlock - 1) >> kBlockShift;
-  block_base_.assign(nblocks, kUnsampled);
-  elements_.clear();
-  before_.clear();
+  // One hash decides a whole 16-element block, so selection is O(dim/16);
+  // it depends only on (dim, seed, rate) and is rebuilt only when they
+  // change. The snapshot is an O(sampled) gather — the unsampled majority
+  // of the output array is never touched.
   const double rate = opt_.sample_rate;
   const bool all = rate >= 1.0;
   const bool none = !all && rate <= 0.0;
-  const std::uint64_t threshold = all || none ? 0 : sample_threshold(rate);
-  elements_.reserve(
-      all ? dim
-          : static_cast<std::size_t>(static_cast<double>(dim) *
-                                     std::min(1.0, rate * 1.2)) +
-                kBlock);
-  for (std::size_t b = 0; b < nblocks && !none; ++b) {
-    if (!all && element_hash(opt_.seed, b) >= threshold) continue;
-    block_base_[b] = static_cast<std::uint32_t>(elements_.size());
-    const std::size_t e0 = b << kBlockShift;
-    const std::size_t e1 = std::min(dim, e0 + kBlock);
-    before_.insert(before_.end(), out.begin() + e0, out.begin() + e1);
-    for (std::size_t e = e0; e < e1; ++e)
-      elements_.push_back(static_cast<std::uint32_t>(e));
+  const SelectionKey sel{dim, opt_.seed, rate};
+  if (sel != selection_key_) {
+    select_blocks(dim);
+    selection_key_ = sel;
   }
   const std::size_t n = elements_.size();
+  before_.resize(n);
+  for (std::size_t s = 0; s < n; ++s) before_[s] = out[elements_[s]];
   counts_.assign(n, 0);
   if (n > accum_cap_) {
     // Allocated for overwrite: slots are first-touch initialized in the
@@ -253,19 +288,23 @@ void ReductionChecker::begin(const ReductionInput& in,
     accum_cap_ = n;
   }
 
-  // --- Recompute contributions from the input stream. iteration_scale
-  // depends only on iter % 1024, so one 1024-entry table replaces the
-  // per-iteration flops chain (the scheme still pays it; the checker does
-  // not — this is what keeps the overhead a small fraction of loop time).
-  // The table itself is cached across begins: the flops chain per entry
-  // is expensive for device-model workloads, and body_flops rarely moves.
-  if (scale_.size() != 1024 || scale_flops_ != in.pattern.body_flops) {
-    scale_.resize(1024);
-    for (std::size_t k = 0; k < scale_.size(); ++k)
-      scale_[k] = iteration_scale(k, in.pattern.body_flops);
-    scale_flops_ = in.pattern.body_flops;
+  // --- Recompute contributions from the input stream. One table of
+  // iteration scales replaces the per-iteration flops chain (the scheme
+  // still pays it; the checker does not — this is what keeps the overhead
+  // a small fraction of loop time).
+  const unsigned flops = in.pattern.body_flops;
+  std::span<const double> scale;
+  if (flops < kSharedScaleFlops) {
+    scale = shared_scale_table(flops);
+  } else {
+    if (scale_.empty() || scale_flops_ != flops) {
+      scale_.resize(kScaleTable);
+      for (std::size_t k = 0; k < kScaleTable; ++k)
+        scale_[k] = iteration_scale(k, flops);
+      scale_flops_ = flops;
+    }
+    scale = scale_;
   }
-  const std::span<const double> scale(scale_);
 
   const std::size_t iters = in.pattern.iterations();
   const std::size_t refs_total = in.pattern.refs.indices().size();
@@ -295,9 +334,10 @@ void ReductionChecker::begin(const ReductionInput& in,
       key.seed = opt_.seed;
       key.rate = rate;
       key.fingerprint = pattern_fingerprint(in);
-      if (fold_cache_valid_ && key == fold_key_) {
-        fold_replay(in, counts, qsum, qabs, witness, scale);
-      } else {
+      const bool hit = fold_cache_valid_ && key == fold_key_;
+      if (!hit || !fold_replay(in, counts, qsum, qabs, witness, scale)) {
+        // A stale replay folded part of the stream: start over.
+        if (hit) std::fill(counts_.begin(), counts_.end(), 0u);
         fold_key_ = key;
         fold_record(in, counts, qsum, qabs, witness, scale);
         fold_cache_valid_ = true;

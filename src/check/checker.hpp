@@ -89,17 +89,20 @@ struct CheckReport {
   double check_s = 0.0;              ///< wall time spent checking
 };
 
-/// One-shot checker for a single scheme execution: snapshot + input pass
-/// before the scheme runs, verdict after.
+/// Checker for scheme executions: snapshot + input pass before the scheme
+/// runs, verdict after. One instance serves any number of begin()/verify()
+/// cycles, and what describes the checked site — the block selection and
+/// the sampled reference positions — is cached across them, so the owner
+/// decides how long that state lives: an AdaptiveReducer owns one per
+/// site, and the options-taking Scheme::execute_checked keeps one per
+/// thread.
 class ReductionChecker {
  public:
   explicit ReductionChecker(CheckerOptions opt, CheckOp op = CheckOp::kSum);
 
   /// Re-arm a checker for a new begin()/verify() cycle with different
-  /// options, keeping the allocated buffers. Lets long-lived callers
-  /// (Scheme::execute_checked keeps one checker per thread) amortize the
-  /// buffer setup across invocations instead of re-faulting pages each
-  /// call.
+  /// options, keeping the allocated buffers and every cache whose key the
+  /// new options still match (begin() rebuilds the rest).
   void configure(CheckerOptions opt, CheckOp op = CheckOp::kSum) {
     opt_ = opt;
     op_ = op;
@@ -169,18 +172,28 @@ class ReductionChecker {
                    std::span<__int128> qsum, std::span<std::uint64_t> qabs,
                    std::span<double> witness, std::span<const double> scale);
   /// Replay of a recorded position list (cache hit); bitwise identical to
-  /// the full scan by construction.
-  void fold_replay(const ReductionInput& in, std::span<std::uint32_t> counts,
-                   std::span<__int128> qsum, std::span<std::uint64_t> qabs,
-                   std::span<double> witness,
-                   std::span<const double> scale) const;
+  /// the full scan by construction. Returns false, with the stream only
+  /// partly folded, when a recorded position now indexes an unsampled
+  /// block: the pattern was rewritten in place under a matching key, and
+  /// the caller must discard the fold and rescan.
+  [[nodiscard]] bool fold_replay(const ReductionInput& in,
+                                 std::span<std::uint32_t> counts,
+                                 std::span<__int128> qsum,
+                                 std::span<std::uint64_t> qabs,
+                                 std::span<double> witness,
+                                 std::span<const double> scale) const;
+  /// Rebuild block_base_/elements_ for the current (dim, seed, rate).
+  void select_blocks(std::size_t dim);
 
   /// Identity of an access pattern for the sampled-positions cache:
   /// buffer addresses and sizes plus a content fingerprint over three
-  /// 64-index windows of the reference stream. A stale hit would need a
-  /// reallocation at the same addresses with the same sizes and matching
-  /// windows — the checker otherwise rescans, so mutated patterns only
-  /// cost the cache, never the verdict.
+  /// 64-index windows of the reference stream. A stale hit needs a pattern
+  /// rewritten in place (or reallocated at the same addresses) with the
+  /// same sizes and matching windows. A rewritten position that left the
+  /// sample is caught by the replay itself, which then rescans; one that
+  /// entered the sample is missed by the replay and fails the check, so a
+  /// stale hit costs a false alarm and its serial recovery, never a wrong
+  /// result.
   struct FoldKey {
     const void* idx = nullptr;
     const void* row_ptr = nullptr;
@@ -193,8 +206,19 @@ class ReductionChecker {
     bool operator==(const FoldKey&) const = default;
   };
 
+  /// What the block selection depends on; begin() rebuilds
+  /// block_base_/elements_ only when it changes. The default key describes
+  /// the initial empty selection (dim 0 selects nothing at any rate).
+  struct SelectionKey {
+    std::size_t dim = 0;
+    std::uint64_t seed = 0;
+    double rate = 0.0;
+    bool operator==(const SelectionKey&) const = default;
+  };
+
   CheckerOptions opt_;
   CheckOp op_;
+  SelectionKey selection_key_;
   /// Per-block map: first slot index of the block's run (kUnsampled when
   /// the block is unobserved).
   std::vector<std::uint32_t> block_base_;
@@ -205,11 +229,10 @@ class ReductionChecker {
   std::unique_ptr<std::uint64_t[]> qabs_;   ///< sum: Σ|q|, saturating
   std::unique_ptr<double[]> witness_;       ///< min/max: extremal contribution
   std::size_t accum_cap_ = 0;  ///< allocated accumulator capacity (reused)
-  /// iteration_scale depends only on iter % 1024 and body_flops; the
-  /// table is rebuilt only when body_flops changes (the flops chain per
-  /// entry is expensive for device-model workloads).
+  /// Fallback iteration-scale table for body_flops past the shared
+  /// tables' cap (see checker.cpp), rebuilt when body_flops changes.
   std::vector<double> scale_;
-  double scale_flops_ = -1.0;
+  unsigned scale_flops_ = 0;
   /// Sampled-positions cache: on a serial fold over a pattern already
   /// seen (same FoldKey), only the reference positions that hit sampled
   /// blocks are replayed — O(rate·refs) instead of O(refs), which is

@@ -29,7 +29,8 @@ AdaptiveReducer::AdaptiveReducer(ThreadPool& pool, MachineCoeffs coeffs,
     : pool_(pool),
       coeffs_(coeffs),
       opt_(opt),
-      monitor_(merged_monitor_options(opt)) {}
+      monitor_(merged_monitor_options(opt)),
+      checker_(opt.check) {}
 
 AdaptiveReducer::~AdaptiveReducer() = default;
 
@@ -95,19 +96,22 @@ SchemeResult AdaptiveReducer::execute_current(const ReductionInput& in,
                                               std::span<double> out) {
   if (!opt_.check.enabled)
     return scheme_->execute(plan_.get(), in, pool_, out);
-  check_before_.assign(out.begin(), out.end());
+  // The rollback snapshot lives for one call, so it is per-thread scratch
+  // rather than a dim-sized copy kept by every live site.
+  static thread_local std::vector<double> before;
+  before.assign(out.begin(), out.end());
   // A warm-started invocation is running an evicted-then-restored cached
   // decision — corruption there is the injector's third class.
   const FaultSite site = warm_started_ ? FaultSite::kRestoredDecision
                                        : FaultSite::kSchemeCombine;
   SchemeResult r =
-      scheme_->execute_checked(plan_.get(), in, pool_, out, opt_.check,
+      scheme_->execute_checked(plan_.get(), in, pool_, out, checker_,
                                &last_check_, opt_.fault_injector, site);
   ++checks_run_;
   if (!last_check_.passed) {
     ++check_failures_;
     last_check_failed_ = true;
-    std::copy(check_before_.begin(), check_before_.end(), out.begin());
+    std::copy(before.begin(), before.end(), out.begin());
     Timer t;
     make_scheme(SchemeKind::kSeq)->execute(nullptr, in, pool_, out);
     r.check_s += t.seconds();

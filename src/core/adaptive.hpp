@@ -182,9 +182,10 @@ class AdaptiveReducer {
   std::uint64_t check_failures_ = 0;
   bool last_check_failed_ = false;
   CheckReport last_check_{};
-  /// Pre-invocation output snapshot for rollback (reused across checked
-  /// invocations to avoid an allocation per call).
-  std::vector<double> check_before_;
+  /// The site's own in-flight checker (configured from opt_.check): its
+  /// block selection and sampled positions describe this site, so they
+  /// stay cached for as long as the site lives.
+  ReductionChecker checker_;
   /// Invocation evidence inherited from the cache entry on a warm start.
   std::uint64_t invocations_base_ = 0;
   /// Bounded ring of measured phase times (see phase_history()).

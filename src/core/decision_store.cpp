@@ -156,6 +156,7 @@ void ShardedDecisionStore::set_flush_failure_hook(FlushFailureHook hook) {
 std::size_t ShardedDecisionStore::drain(const Snapshotter& snap,
                                         std::string* error) {
   if (!persistent()) return 0;
+  std::scoped_lock drain_lk(drain_mu_);
   std::size_t written = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& s = shards_[i];

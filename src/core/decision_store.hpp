@@ -112,7 +112,8 @@ class ShardedDecisionStore {
   /// Flush every dirty shard: refresh each dirty site via `snap` (when
   /// given), then rewrite the shard file atomically. Returns the number
   /// of shard files written; failed shards stay dirty for retry. Safe to
-  /// call concurrently with put/mark_dirty.
+  /// call concurrently with put/mark_dirty and with itself: concurrent
+  /// drains run one at a time, since a shard's temp file has one writer.
   std::size_t drain(const Snapshotter& snap = nullptr,
                     std::string* error = nullptr);
 
@@ -138,6 +139,8 @@ class ShardedDecisionStore {
 
   DecisionStoreOptions opt_;
   std::vector<Shard> shards_;
+  /// Held for a whole drain (taken before any shard lock).
+  std::mutex drain_mu_;
   mutable std::mutex hook_mu_;
   FlushFailureHook hook_;
   std::atomic<std::uint64_t> flushes_{0};

@@ -23,7 +23,6 @@ SchemeResult Scheme::execute_checked(const SchemePlan* plan,
                                      CheckReport* report,
                                      FaultInjector* injector, FaultSite site,
                                      CheckOp op) const {
-  SAPP_REQUIRE(report != nullptr, "execute_checked needs a report sink");
   // One checker per thread, reused across invocations: its buffers are
   // sized by the largest dim seen, and reusing them avoids re-faulting
   // megabytes of accumulator pages on every checked execution (the single
@@ -31,6 +30,18 @@ SchemeResult Scheme::execute_checked(const SchemePlan* plan,
   // options, so per-call rates/seeds/ops behave as if freshly constructed.
   static thread_local ReductionChecker checker{CheckerOptions{}};
   checker.configure(check, op);
+  return execute_checked(plan, in, pool, out, checker, report, injector,
+                         site);
+}
+
+SchemeResult Scheme::execute_checked(const SchemePlan* plan,
+                                     const ReductionInput& in,
+                                     ThreadPool& pool, std::span<double> out,
+                                     ReductionChecker& checker,
+                                     CheckReport* report,
+                                     FaultInjector* injector,
+                                     FaultSite site) const {
+  SAPP_REQUIRE(report != nullptr, "execute_checked needs a report sink");
   checker.begin(in, out, &pool);
   SchemeResult r = execute(plan, in, pool, out);
   if (injector != nullptr) injector->corrupt_one(site, out);

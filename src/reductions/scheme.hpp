@@ -116,6 +116,10 @@ class Scheme {
   /// The verdict lands in `*report` (required); a failed check leaves
   /// `out` in its corrupted state — recovery policy belongs to the caller
   /// (AdaptiveReducer rolls back and re-executes serially).
+  ///
+  /// This form checks with a per-thread checker configured from `check`;
+  /// a caller that executes one site repeatedly passes its own checker to
+  /// the overload below instead.
   SchemeResult execute_checked(const SchemePlan* plan,
                                const ReductionInput& in, ThreadPool& pool,
                                std::span<double> out,
@@ -123,6 +127,17 @@ class Scheme {
                                FaultInjector* injector = nullptr,
                                FaultSite site = FaultSite::kSchemeCombine,
                                CheckOp op = CheckOp::kSum) const;
+
+  /// As above with a caller-owned, already configured checker. Its block
+  /// selection and sampled-positions cache survive between calls, so the
+  /// owner of a site's checker pays the full input scan once per pattern
+  /// and O(rate·refs) after that.
+  SchemeResult execute_checked(const SchemePlan* plan,
+                               const ReductionInput& in, ThreadPool& pool,
+                               std::span<double> out, ReductionChecker& checker,
+                               CheckReport* report,
+                               FaultInjector* injector = nullptr,
+                               FaultSite site = FaultSite::kSchemeCombine) const;
 };
 
 }  // namespace sapp

@@ -190,7 +190,10 @@ TEST(PhaseMonitorEdge, ZeroIterationSignature) {
 }
 
 TEST(RuntimeEdge, SubmitDegenerateSites) {
-  Runtime rt(RuntimeOptions{.threads = 2, .calibrate = false});
+  RuntimeOptions o;
+  o.threads = 2;
+  o.calibrate = false;
+  Runtime rt(o);
   auto empty = input_for(zero_iteration_pattern());
   empty.pattern.loop_id = "edge/empty";
   auto dense = input_for(single_element_pattern());

@@ -13,7 +13,9 @@
 //     thread counts and combine orders (serial pass vs. sharded passes of
 //     different widths).
 // Plus the wiring: a detected corruption rolls the AdaptiveReducer back to
-// the trusted serial result and demotes the decision.
+// the trusted serial result and demotes the decision; and the cached
+// per-site state (block selection, sampled positions) must make a reused
+// checker report exactly what a fresh one reports.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,6 +29,7 @@
 #include "check/fault_injector.hpp"
 #include "common/rng.hpp"
 #include "core/adaptive.hpp"
+#include "core/runtime.hpp"
 #include "differential_cases.hpp"
 #include "reductions/scheme_atomic.hpp"
 #include "reductions/scheme_rep.hpp"
@@ -304,6 +307,180 @@ TEST(Checker, AdaptiveReducerRollsBackAndDemotesOnDetectedCorruption) {
   (void)red.invoke(in, out);
   EXPECT_EQ(red.check_failures(), 1u);
   EXPECT_GE(red.checks_run(), 3u);
+}
+
+// --- Cached checker state. ---------------------------------------------
+
+void expect_same_report(const CheckReport& got, const CheckReport& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.input_checksum, want.input_checksum) << what;
+  EXPECT_EQ(got.slots_sampled, want.slots_sampled) << what;
+  EXPECT_EQ(got.contributions, want.contributions) << what;
+  EXPECT_EQ(got.passed, want.passed) << what;
+}
+
+/// One begin/execute/verify cycle of `checker` on `in`, starting from a
+/// non-neutral output so the snapshot matters.
+CheckReport check_cycle(ReductionChecker& checker, const ReductionInput& in) {
+  std::vector<double> out(in.pattern.dim);
+  for (std::size_t e = 0; e < out.size(); ++e)
+    out[e] = 0.25 * static_cast<double>(e % 7);
+  checker.begin(in, out, nullptr);
+  run_sequential(in, out);
+  return checker.verify(out);
+}
+
+TEST(CheckerState, ReusedCheckerMatchesFreshAcrossDimSeedAndRate) {
+  std::vector<ReductionInput> inputs;
+  for (const std::size_t dim : {300u, 1200u, 4100u}) {
+    workloads::SynthParams p;
+    p.dim = dim;
+    p.distinct = dim / 2;
+    p.iterations = 700;
+    p.refs_per_iter = 2;
+    p.seed = 31 + dim;
+    inputs.push_back(workloads::make_synthetic(p));
+  }
+  // Distinct body_flops per input; 100 is past the shared scale tables'
+  // cap, which exercises the per-checker fallback table.
+  inputs[1].pattern.body_flops = 7;
+  inputs[2].pattern.body_flops = 100;
+
+  ReductionChecker reused(CheckerOptions{});
+  int cycle = 0;
+  // Repeats interleave cache hits (same input and options as an earlier
+  // cycle) with misses on every key component.
+  for (int rep = 0; rep < 2; ++rep)
+    for (const std::uint64_t seed : {0x5EEDull, 0xBADC0FFEEull})
+      for (const double rate : {0.05, 0.25, 1.0, 0.0})
+        for (const ReductionInput& in : inputs) {
+          CheckerOptions co;
+          co.enabled = true;
+          co.sample_rate = rate;
+          co.seed = seed;
+          reused.configure(co);
+          ReductionChecker fresh(co);
+          const std::string what = "cycle " + std::to_string(cycle++) +
+                                   " dim " + std::to_string(in.pattern.dim) +
+                                   " rate " + std::to_string(rate);
+          const CheckReport want = check_cycle(fresh, in);
+          expect_same_report(check_cycle(reused, in), want, what);
+          EXPECT_TRUE(want.passed) << what;
+        }
+}
+
+/// A pattern rewritten in place keeps its addresses and sizes; a rewrite
+/// outside the three fingerprint windows also keeps the fingerprint, so
+/// the sampled-positions cache hits on stale positions. A position that
+/// moved out of the sample must send the checker back to a full scan.
+TEST(CheckerState, StaleReplayOfRewrittenPatternRescans) {
+  workloads::SynthParams p;
+  p.dim = 1024;
+  p.distinct = 1024;
+  p.iterations = 400;
+  p.refs_per_iter = 2;
+  p.seed = 777;
+  ReductionInput in = workloads::make_synthetic(p);
+  const std::size_t n = in.pattern.refs.indices().size();
+  ASSERT_GT(n, 192u);
+
+  CheckerOptions co;
+  co.enabled = true;
+  co.sample_rate = 0.25;
+  // A sampled position between the first two fingerprint windows, and an
+  // unsampled element at a nonzero offset inside its block.
+  std::size_t j = 64;
+  while (j < n / 2 && !ReductionChecker::slot_sampled(
+                          co.seed, co.sample_rate, in.pattern.refs.indices()[j]))
+    ++j;
+  ASSERT_LT(j, n / 2);
+  std::uint32_t moved_to = 5;
+  while (ReductionChecker::slot_sampled(co.seed, co.sample_rate, moved_to))
+    moved_to += 16;
+  ASSERT_LT(moved_to, p.dim);
+
+  ReductionChecker reused(co);
+  ASSERT_TRUE(check_cycle(reused, in).passed);
+  in.pattern.refs.mutable_indices()[j] = moved_to;
+  ReductionChecker fresh(co);
+  const CheckReport want = check_cycle(fresh, in);
+  EXPECT_TRUE(want.passed);
+  expect_same_report(check_cycle(reused, in), want, "after rewrite");
+
+  // Through the reducer, whose checker has cached the original pattern.
+  // One pool thread keeps every scheme's plan valid for any index set, so
+  // only the checker can go wrong.
+  in = workloads::make_synthetic(p);
+  ThreadPool pool(1);
+  AdaptiveOptions opt;
+  opt.check = co;
+  AdaptiveReducer red(pool, MachineCoeffs::defaults(), opt);
+  std::vector<double> out(p.dim, 0.0);
+  (void)red.invoke(in, out);
+  in.pattern.refs.mutable_indices()[j] = moved_to;
+  std::vector<double> ref(p.dim, 0.0);
+  run_sequential(in, ref);
+  std::fill(out.begin(), out.end(), 0.0);
+  (void)red.invoke(in, out);
+  EXPECT_EQ(red.check_failures(), 0u) << "a stale replay is not a fault";
+  for (std::size_t e = 0; e < ref.size(); ++e)
+    ASSERT_NEAR(out[e], ref[e], 1e-9 * (1.0 + std::abs(ref[e])))
+        << "element " << e;
+}
+
+/// Faults injected into the combines of interleaved sites (each site's
+/// checker caching its own state) are each detected exactly when the
+/// sampling predicate says so, and every detected one recovers to the
+/// sequential reference bitwise.
+TEST(CheckerState, InjectedFaultsAcrossInterleavedSitesAreCaught) {
+  constexpr std::size_t kSites = 12;
+  std::vector<ReductionInput> inputs;
+  std::vector<std::vector<double>> refs;
+  for (std::size_t s = 0; s < kSites; ++s) {
+    inputs.push_back(workloads::make_serving_site(s, 0.5, 42).input);
+    inputs.back().pattern.loop_id = "faulty/site" + std::to_string(s);
+    refs.emplace_back(inputs.back().pattern.dim, 0.0);
+    run_sequential(inputs.back(), refs.back());
+  }
+  for (const double rate : {1.0, 0.25}) {
+    FaultInjector inj;
+    RuntimeOptions o;
+    o.threads = 2;
+    o.calibrate = false;
+    o.adaptive.check.enabled = true;
+    o.adaptive.check.sample_rate = rate;
+    o.adaptive.fault_injector = &inj;
+    Runtime rt(o);
+    std::uint64_t detected = 0;
+    for (int pass = 0; pass < 4; ++pass) {
+      for (std::size_t s = 0; s < kSites; ++s) {
+        const ReductionInput& in = inputs[s];
+        const std::string& id = in.pattern.loop_id;
+        std::vector<double> out(in.pattern.dim, 0.0);
+        inj.arm(FaultSite::kSchemeCombine, 1000 * pass + s);
+        const std::uint64_t failures_before =
+            rt.has_live_site(id) ? rt.site(id).check_failures() : 0;
+        (void)rt.submit(in, out);
+        ASSERT_EQ(inj.injected(), pass * kSites + s + 1) << "one shot per call";
+        const auto ev = inj.events().back();
+        const bool predicted = ReductionChecker::slot_sampled(
+            o.adaptive.check.seed, rate, ev.element);
+        const bool caught = rt.site(id).check_failures() > failures_before;
+        EXPECT_EQ(caught, predicted)
+            << "rate " << rate << " pass " << pass << " site " << s;
+        if (!caught) continue;
+        ++detected;
+        for (std::size_t e = 0; e < refs[s].size(); ++e)
+          ASSERT_EQ(out[e], refs[s][e])
+              << "rate " << rate << " site " << s << " element " << e;
+      }
+    }
+    EXPECT_EQ(inj.injected(), 4 * kSites);
+    EXPECT_EQ(rt.check_failures(), detected);
+    if (rate == 1.0) {
+      EXPECT_EQ(detected, 4 * kSites);
+    }
+  }
 }
 
 }  // namespace

@@ -8,10 +8,13 @@
 // crashes deterministically (decision_store.hpp).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -252,6 +255,55 @@ TEST_F(DecisionStoreTest, EntriesRehomeWhenShardCountChanges) {
     const std::string home = read_file(reloaded.shard_path(reloaded.shard_of(site)));
     EXPECT_NE(home.find("\"" + site + "\""), std::string::npos)
         << site << " should live in its home shard after migration";
+  }
+}
+
+// The runtime's maintenance thread and an explicit flush_decisions() can
+// drain one store at once while submissions keep re-dirtying it. Two
+// writers of one shard would share its temp file: the second rename
+// fails and a torn shard can land. Drains must serialize instead.
+TEST_F(DecisionStoreTest, ConcurrentDrainsNeverShareATempFile) {
+  constexpr int kSites = 8;
+  constexpr int kWritingDrains = 300;  // across both draining threads
+  std::uint64_t version = 1;
+  int writing_drains = 0;
+  {
+    ShardedDecisionStore store({.dir = dir_, .shards = 2});
+    (void)store.load();
+    std::atomic<bool> stop{false};
+    std::atomic<int> wrote{0};
+    const auto drainer = [&] {
+      while (!stop.load())
+        if (store.drain() > 0) ++wrote;
+    };
+    std::thread a(drainer);
+    std::thread b(drainer);
+    // Keep every shard dirty until the drains have written many times.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (wrote.load() < kWritingDrains &&
+           std::chrono::steady_clock::now() < deadline) {
+      ++version;
+      for (int i = 0; i < kSites; ++i)
+        store.put(decision("App/s" + std::to_string(i), version));
+    }
+    stop = true;
+    a.join();
+    b.join();
+    writing_drains = wrote.load();
+    (void)store.drain();
+    EXPECT_EQ(store.flush_failures(), 0u);
+    EXPECT_EQ(store.dirty_count(), 0u);
+  }
+  EXPECT_GE(writing_drains, kWritingDrains) << "too few drains wrote before the deadline";
+  ShardedDecisionStore reloaded({.dir = dir_, .shards = 2});
+  std::string err;
+  EXPECT_EQ(reloaded.load(&err), static_cast<std::size_t>(kSites)) << err;
+  EXPECT_TRUE(err.empty()) << err;
+  for (int i = 0; i < kSites; ++i) {
+    const auto got = reloaded.get("App/s" + std::to_string(i));
+    ASSERT_TRUE(got.has_value()) << i;
+    EXPECT_EQ(got->invocations, version) << "the last put must be persisted";
   }
 }
 

@@ -290,6 +290,66 @@ TEST(RuntimeConcurrency, ConcurrentWarmStartsAdoptCachedDecisions) {
   std::remove(path.c_str());
 }
 
+TEST(RuntimeConcurrency, InterleavedSiteCheckersReportLikeFreshOnes) {
+  // Each site owns its checker, which caches the site's block selection
+  // and sampled positions across calls. Threads interleave their calls
+  // over many serving-shaped sites of different dims and body_flops at
+  // the serving sample rate, and after every call the site's report must
+  // be bitwise the one a fresh checker gives on the same input.
+  constexpr int kThreads = 4;
+  constexpr std::size_t kSitesPerThread = 15;
+  constexpr int kRounds = 3;
+  RuntimeOptions o = quiet_options();
+  o.adaptive.check.enabled = true;
+  o.adaptive.check.sample_rate = 0.05;
+  Runtime rt(o);
+
+  std::vector<ReductionInput> inputs;
+  for (std::size_t s = 0; s < kThreads * kSitesPerThread; ++s) {
+    inputs.push_back(workloads::make_serving_site(s, 0.25, 7).input);
+    inputs.back().pattern.loop_id = "checked/site" + std::to_string(s);
+  }
+
+  std::atomic<std::size_t> sampled_calls{0};
+  std::barrier start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<double> out;
+      start.arrive_and_wait();
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t k = 0; k < kSitesPerThread; ++k) {
+          // Sites are owned by one thread each, so reading a site's last
+          // report after its call races with nothing.
+          const ReductionInput& in =
+              inputs[static_cast<std::size_t>(t) * kSitesPerThread + k];
+          out.assign(in.pattern.dim, 0.0);
+          for (std::size_t e = 0; e < out.size(); e += 3)
+            out[e] = static_cast<double>(round + 1);
+          ReductionChecker fresh(o.adaptive.check);
+          fresh.begin(in, out, nullptr);
+          (void)rt.submit(in, out);
+          const CheckReport want = fresh.verify(out);
+          const CheckReport& got = rt.site(in.pattern.loop_id).last_check();
+          ASSERT_EQ(got.input_checksum, want.input_checksum)
+              << in.pattern.loop_id << " round " << round;
+          ASSERT_EQ(got.slots_sampled, want.slots_sampled);
+          ASSERT_EQ(got.contributions, want.contributions);
+          ASSERT_EQ(got.passed, want.passed);
+          ASSERT_TRUE(got.passed);
+          if (got.slots_sampled > 0) ++sampled_calls;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(rt.checks_run(),
+            static_cast<std::uint64_t>(kThreads * kSitesPerThread * kRounds));
+  EXPECT_EQ(rt.check_failures(), 0u);
+  EXPECT_GT(sampled_calls.load(), rt.checks_run() / 2)
+      << "most calls must actually sample something";
+}
+
 TEST(RuntimeConcurrency, SiteChurnStressStaysBoundedAndExactlyOnce) {
   // Serving-shaped churn: many more sites than the table may hold, so
   // registration, submission and LRU eviction race continuously (plus an
