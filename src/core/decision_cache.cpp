@@ -207,21 +207,6 @@ std::optional<DecisionCache> DecisionCache::from_json(std::string_view text,
   return cache;
 }
 
-bool DecisionCache::save(const std::string& path, std::string* error) const {
-  std::ofstream file(path);
-  if (!file) {
-    if (error != nullptr) *error = "cannot open '" + path + "' for writing";
-    return false;
-  }
-  file << to_json();
-  file.flush();
-  if (!file) {
-    if (error != nullptr) *error = "write to '" + path + "' failed";
-    return false;
-  }
-  return true;
-}
-
 std::optional<DecisionCache> DecisionCache::load(const std::string& path,
                                                  std::string* error) {
   std::ifstream file(path);

@@ -11,18 +11,19 @@
 // detector immediately — a warm-started site whose cached history
 // contradicts fresh measurements re-characterizes within the first
 // monitored window instead of trusting the stale scheme.
-// Persistence is explicit: `Runtime::save_decisions()` writes the
-// file (typically at the end of a run); the constructor loads
-// `RuntimeOptions::decision_cache_path` when it is set. A cached entry is
-// only adopted when the first observed pattern still matches its recorded
+// A DecisionCache is the in-memory document; it persists only as the
+// shard files of the ShardedDecisionStore (decision_store.hpp) under
+// `RuntimeOptions::decision_cache_dir`, which the runtime loads at
+// construction and flushes in the background. A cached entry is only
+// adopted when the first observed pattern still matches its recorded
 // signature — otherwise the site falls back to the normal
 // characterize-and-decide path.
 //
-// The file format is JSON rendered by src/repro/json (schema documented in
-// docs/adaptivity.md, "The on-disk decision cache"; schema_version 2 —
-// version-1 files without phase history are treated as absent, a graceful
-// cold start). Caches are host- and thread-count-specific, like the rest
-// of docs/results/.
+// Each shard file is one JSON document rendered by src/repro/json (schema
+// documented in docs/adaptivity.md, "The on-disk decision cache";
+// schema_version 2 — version-1 files without phase history are treated as
+// absent, a graceful cold start). Caches are host- and
+// thread-count-specific, like the rest of docs/results/.
 #pragma once
 
 #include <optional>
@@ -94,10 +95,9 @@ class DecisionCache {
   [[nodiscard]] static std::optional<DecisionCache> from_json(
       std::string_view text, std::string* error = nullptr);
 
-  /// File round trip. `load` returns nullopt (with an error message) on a
+  /// Read one document from `path`: nullopt (with an error message) on a
   /// missing, unreadable or malformed file — a cold start, never a crash.
-  [[nodiscard]] bool save(const std::string& path,
-                          std::string* error = nullptr) const;
+  /// Writing goes through ShardedDecisionStore's atomic shard flush.
   [[nodiscard]] static std::optional<DecisionCache> load(
       const std::string& path, std::string* error = nullptr);
 

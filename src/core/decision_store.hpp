@@ -1,12 +1,9 @@
-// ShardedDecisionStore — the serving-scale persistence engine behind the
-// decision cache.
+// ShardedDecisionStore — the one persistence path of the decision cache.
 //
-// The single-file DecisionCache (decision_cache.hpp) rewrites one JSON
-// document per save, which is fine for an end-of-run snapshot but not for
-// a runtime serving thousands of churning sites: every flush would
-// serialize every site, and a crash mid-rewrite loses the whole database.
-// The store splits the cache across `shards` files keyed by a stable
-// 64-bit FNV-1a fingerprint of the site id:
+// One JSON document for every site would make each flush serialize every
+// site, and a crash mid-rewrite would lose the whole database. The store
+// splits the cache (decision_cache.hpp) across `shards` files keyed by a
+// stable 64-bit FNV-1a fingerprint of the site id:
 //
 //     <dir>/shard-<k>.json        (each file is a DecisionCache document)
 //
@@ -100,7 +97,7 @@ class ShardedDecisionStore {
   [[nodiscard]] std::optional<CachedDecision> get(
       std::string_view site) const;
   [[nodiscard]] std::size_t size() const;
-  /// Every entry folded into one single-file cache (legacy save path).
+  /// Every entry folded into one cache (reporting, tests).
   [[nodiscard]] DecisionCache merged() const;
 
   /// Record that `site`'s live state has advanced past what the store

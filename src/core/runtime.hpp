@@ -1,5 +1,5 @@
 // sapp::Runtime — the process-wide multi-site adaptive runtime (Fig. 1 at
-// scale), plus the SmartAppsRuntime single-threaded facade it grew from.
+// scale) and the one entry point compiled code calls into (Fig. 2).
 //
 // One Runtime serves every reduction loop site of an application:
 //
@@ -26,16 +26,15 @@
 //     An evicted site's learned decision is snapshotted into the decision
 //     store, so a returning site re-registers and warm-starts instead of
 //     re-characterizing — eviction bounds memory, not knowledge.
-//   * persistence is asynchronous: submissions only mark their site dirty
-//     in the sharded decision store (decision_store.hpp); a maintenance
-//     thread snapshots dirty sites and flushes changed shards atomically
-//     (temp file + rename) on an interval, and the destructor drains
-//     cleanly. No file I/O ever runs on the submit path.
+//   * persistence is asynchronous and has one path, the sharded decision
+//     store under `decision_cache_dir` (decision_store.hpp): the
+//     constructor loads it, submissions only mark their site dirty, a
+//     maintenance thread snapshots dirty sites and flushes changed shards
+//     atomically (temp file + rename) on an interval, and the destructor
+//     drains cleanly. No file I/O ever runs on the submit path.
 //
-// The legacy single-file workflow (`decision_cache_path` + explicit
-// `save_decisions()`/`load_decisions()`) still works and now also seeds
-// the store; `sapp_repro serving` measures the whole arrangement under
-// sustained multi-threaded churn and CI gates its throughput and p99.
+// `sapp_repro serving` measures the whole arrangement under sustained
+// multi-threaded churn and CI gates its throughput and p99.
 #pragma once
 
 #include <array>
@@ -61,18 +60,12 @@ struct RuntimeOptions {
   unsigned threads = 0;   ///< 0 = hardware concurrency
   bool calibrate = true;  ///< micro-calibrate MachineCoeffs at startup
   AdaptiveOptions adaptive{};
-  /// Path of the legacy single-file decision cache. When non-empty, the
-  /// constructor loads it (silently starting cold if missing/corrupt) and
-  /// `save_decisions()` with no argument writes back to it.
-  std::string decision_cache_path;
   /// Directory of the sharded, asynchronously persisted decision store.
   /// When non-empty, the constructor loads every shard for warm starts
-  /// and a maintenance thread flushes learned decisions back on
-  /// `flush_interval_s` — the serving-scale replacement for the explicit
-  /// single-file save.
+  /// (missing or corrupt shards start cold), a maintenance thread flushes
+  /// learned decisions back on `flush_interval_s`, and the destructor
+  /// drains what is left.
   std::string decision_cache_dir;
-  /// Shard-file count of the decision store (clamped to [1, 256]).
-  std::size_t decision_cache_shards = 16;
   /// Maintenance-thread period: async flush of dirty decisions plus
   /// TTL/capacity sweeps.
   double flush_interval_s = 0.05;
@@ -156,15 +149,6 @@ class Runtime {
   /// Everything the decision store knows: loaded shards, evicted sites,
   /// flushed snapshots. Live sites may have advanced past this.
   [[nodiscard]] DecisionCache persisted_decisions() const;
-  /// Save store + live-site decisions as one legacy single file. Returns
-  /// false (with `error`) on I/O failure.
-  bool save_decisions(const std::string& path,
-                      std::string* error = nullptr) const;
-  /// Save to `RuntimeOptions::decision_cache_path`.
-  bool save_decisions(std::string* error = nullptr) const;
-  /// Merge `path` into the decision store consulted when sites are
-  /// created. Entries for already-created sites do not apply retroactively.
-  bool load_decisions(const std::string& path, std::string* error = nullptr);
   /// The decisions currently offered to newly created sites.
   [[nodiscard]] std::size_t warm_entries() const;
   /// Synchronously flush dirty decisions to the store's shard files (the
@@ -240,47 +224,6 @@ class Runtime {
   std::condition_variable maint_cv_;
   bool maint_stop_ = false;
   std::thread maintenance_;
-};
-
-/// The original single-site-table facade (Fig. 1 / Fig. 2): the shape of
-/// code the paper's run-time compiler would emit for a sequential
-/// application. Now a thin veneer over Runtime — new code should use
-/// Runtime directly (concurrent submission, decision persistence).
-class SmartAppsRuntime {
- public:
-  struct Options {
-    unsigned threads = 0;      ///< 0 = hardware concurrency
-    bool calibrate = true;     ///< micro-calibrate MachineCoeffs at startup
-    AdaptiveOptions adaptive{};
-  };
-
-  SmartAppsRuntime() : SmartAppsRuntime(Options{}) {}
-  explicit SmartAppsRuntime(Options opt) : rt_(to_runtime_options(opt)) {}
-
-  [[nodiscard]] ThreadPool& pool() { return rt_.pool(); }
-  [[nodiscard]] const MachineCoeffs& coeffs() const { return rt_.coeffs(); }
-
-  /// The adaptive reducer for the loop site `name` (created on first use).
-  [[nodiscard]] AdaptiveReducer& reducer(const std::string& name) {
-    return rt_.site(name);
-  }
-
-  /// Per-site summary: decisions, re-characterizations, switches.
-  [[nodiscard]] std::string report() const { return rt_.report(); }
-
-  /// The multi-site runtime underneath.
-  [[nodiscard]] Runtime& runtime() { return rt_; }
-
- private:
-  [[nodiscard]] static RuntimeOptions to_runtime_options(const Options& o) {
-    RuntimeOptions r;
-    r.threads = o.threads;
-    r.calibrate = o.calibrate;
-    r.adaptive = o.adaptive;
-    return r;
-  }
-
-  Runtime rt_;
 };
 
 }  // namespace sapp

@@ -134,16 +134,17 @@ ExperimentResult run_phase_drift(RunContext& ctx) {
   }
 
   // --- stale phase history: warm start must re-decide -----------------
-  // Learn the dense phase, then poison the persisted history as if the
+  // Learn the dense phase, then persist a poisoned history as if the
   // cache came from a host 1000x faster (predicted_total_s cleared so the
   // *history* path, not the model-prediction path, is what demotes).
-  // PID-qualified temp name: a fixed path would race a concurrent
+  // PID-qualified store directory: a fixed path would race a concurrent
   // sapp_repro on the same host (one process's remove/overwrite landing
-  // between another's save and load).
-  const std::string cache_path =
+  // between another's flush and load).
+  const std::string cache_dir =
       (std::filesystem::temp_directory_path() /
-       ("sapp_phase_drift." + std::to_string(::getpid()) + ".cache.json"))
+       ("sapp_phase_drift." + std::to_string(::getpid())))
           .string();
+  std::filesystem::remove_all(cache_dir);
   {
     Runtime learner(runtime_options(ctx, false));
     for (int k = 0; k < 8; ++k) (void)learner.submit(dense, out);
@@ -154,10 +155,13 @@ ExperimentResult run_phase_drift(RunContext& ctx) {
     CachedDecision doctored = *learned;
     doctored.predicted_total_s = 0.0;
     for (auto& t : doctored.phase_times_s) t /= 1000.0;
-    DecisionCache poisoned;
-    poisoned.put(std::move(doctored));
+    DecisionStoreOptions so;
+    so.dir = cache_dir;
+    ShardedDecisionStore poisoned(std::move(so));
     std::string err;
-    if (!poisoned.save(cache_path, &err))
+    (void)poisoned.load(&err);  // creates the directory
+    poisoned.put(std::move(doctored));
+    if (poisoned.drain(nullptr, &err) != 1)
       throw std::runtime_error("cannot write decision cache: " + err);
   }
   int recheck_invocation = 0;
@@ -165,7 +169,7 @@ ExperimentResult run_phase_drift(RunContext& ctx) {
   int window = 0;
   {
     RuntimeOptions o = runtime_options(ctx, false);
-    o.decision_cache_path = cache_path;
+    o.decision_cache_dir = cache_dir;
     Runtime rt(o);
     window = o.adaptive.monitor.time_drift_patience;
     for (int k = 1; k <= window + 4; ++k) {
@@ -178,7 +182,7 @@ ExperimentResult run_phase_drift(RunContext& ctx) {
     }
   }
   std::error_code ec;
-  std::filesystem::remove(cache_path, ec);
+  std::filesystem::remove_all(cache_dir, ec);
 
   const double speedup = post_ms[0] > 0.0 ? post_ms[1] / post_ms[0] : 0.0;
   res.metric("threads", ctx.threads());

@@ -14,11 +14,14 @@
 //     characterize + decide on a cold start; a warm start adopts the
 //     cached decision and skips both. The CI repro-smoke gate requires
 //     warm_speedup >= 2x.
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,6 +70,10 @@ std::vector<ReductionInput> build_sites(double scale) {
   }
   return sites;
 }
+
+/// Maintenance period of the warm runtimes: longer than the experiment,
+/// so no background flush lands inside a timed pass.
+constexpr double kNoFlushDuringRunS = 3600.0;
 
 RuntimeOptions runtime_options(RunContext& ctx) {
   RuntimeOptions o;
@@ -147,18 +154,38 @@ ExperimentResult run_adaptive_sites(RunContext& ctx) {
   res.tables.push_back(std::move(scaling));
 
   // --- cold vs warm start --------------------------------------------
-  const std::string cache_path =
-      (std::filesystem::temp_directory_path() /
-       "sapp_adaptive_sites.cache.json")
-          .string();
-
-  // Learn the decisions once and persist them.
-  Runtime learner(runtime_options(ctx));
-  for (std::size_t s = 0; s < S; ++s)
-    (void)learner.submit(sites[s], outs[s]);
-  std::string save_err;
-  if (!learner.save_decisions(cache_path, &save_err))
-    throw std::runtime_error("cannot write decision cache: " + save_err);
+  // Learn the decisions once; the learner's destructor drains them into
+  // its store directory before anything is timed. PID-qualified: a fixed
+  // path would let two concurrent sapp_repro runs remove each other's
+  // store between the learner's flush and the warm runs' loads.
+  namespace fs = std::filesystem;
+  const fs::path root =
+      fs::temp_directory_path() /
+      ("sapp_adaptive_sites." + std::to_string(::getpid()));
+  const fs::path learned = root / "learned";
+  fs::remove_all(root);
+  {
+    RuntimeOptions o = runtime_options(ctx);
+    o.decision_cache_dir = learned.string();
+    Runtime learner(o);
+    for (std::size_t s = 0; s < S; ++s)
+      (void)learner.submit(sites[s], outs[s]);
+    std::string err;
+    (void)learner.flush_decisions(&err);
+    if (!err.empty())
+      throw std::runtime_error("cannot write decision cache: " + err);
+  }
+  // Every warm runtime starts from its own copy of the learned store, so
+  // each repetition sees the same state.
+  int warm_copies = 0;
+  const auto warm_options = [&] {
+    const fs::path copy = root / ("warm-" + std::to_string(warm_copies++));
+    fs::copy(learned, copy, fs::copy_options::recursive);
+    RuntimeOptions o = runtime_options(ctx);
+    o.decision_cache_dir = copy.string();
+    o.flush_interval_s = kNoFlushDuringRunS;
+    return o;
+  };
 
   // Per-site instrumented pass (cold vs warm), single shot for the table.
   ResultTable per_site("cold_vs_warm_per_site",
@@ -166,9 +193,7 @@ ExperimentResult run_adaptive_sites(RunContext& ctx) {
                         "Speedup", "Warm-started"});
   {
     Runtime cold(runtime_options(ctx));
-    RuntimeOptions wopt = runtime_options(ctx);
-    wopt.decision_cache_path = cache_path;
-    Runtime warm(wopt);
+    Runtime warm(warm_options());
     for (std::size_t s = 0; s < S; ++s) {
       Timer tc;
       (void)cold.submit(sites[s], outs[s]);
@@ -193,18 +218,14 @@ ExperimentResult run_adaptive_sites(RunContext& ctx) {
     return first_pass_seconds(rt, sites, outs);
   });
   const double warm_s = ctx.measure([&] {
-    RuntimeOptions o = runtime_options(ctx);
-    o.decision_cache_path = cache_path;
-    Runtime rt(o);
+    Runtime rt(warm_options());
     return first_pass_seconds(rt, sites, outs);
   });
 
   // Sanity: a warm-started runtime must still compute correct sums.
   std::size_t mismatches = 0;
   {
-    RuntimeOptions o = runtime_options(ctx);
-    o.decision_cache_path = cache_path;
-    Runtime rt(o);
+    Runtime rt(warm_options());
     for (std::size_t s = 0; s < S; ++s) {
       std::vector<double> got(sites[s].pattern.dim, 0.0);
       std::vector<double> ref(sites[s].pattern.dim, 0.0);
@@ -220,7 +241,7 @@ ExperimentResult run_adaptive_sites(RunContext& ctx) {
     }
   }
   std::error_code ec;
-  std::filesystem::remove(cache_path, ec);
+  fs::remove_all(root, ec);
 
   res.metric("sites", static_cast<double>(S));
   res.metric("threads", ctx.threads());
@@ -233,9 +254,10 @@ ExperimentResult run_adaptive_sites(RunContext& ctx) {
            "time over all sites (median of reps, fresh Runtime per rep); "
            "the repro-smoke gate requires >= 2x. A warm start adopts the "
            "cached scheme and skips characterize + decide.");
-  res.note("The decision cache is written to a temp file by the cold "
-           "runtime and deleted afterwards; docs/reproducing.md documents "
-           "the file format.");
+  res.note("The decisions are persisted by a learner runtime into a "
+           "temporary decision-store directory; every warm runtime starts "
+           "from its own copy of it, and all are deleted afterwards. "
+           "docs/adaptivity.md documents the shard format.");
   res.note("multi_site_scaling rows labelled '(1 shared site)' submit "
            "from T threads to one site (per-site serialization); numbered "
            "rows spread the sites round-robin over the T threads. "

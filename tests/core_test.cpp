@@ -2,10 +2,9 @@
 // phase monitor and the AdaptiveReducer feedback loop.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "core/adaptive.hpp"
 #include "core/runtime.hpp"
+#include "store_dir.hpp"
 #include "workloads/workload.hpp"
 
 namespace sapp {
@@ -273,7 +272,12 @@ TEST(AdaptiveReducer, ProducesCorrectResults) {
 TEST(AdaptiveReducer, CharacterizesOnceForStablePattern) {
   const auto in = sparse_input();
   ThreadPool pool(2);
-  AdaptiveReducer red(pool, MachineCoeffs::defaults());
+  // Park the time-drift detector: this test pins pattern stability, and
+  // CPU contention from concurrently running suites must not read as a
+  // phase change (phase_drift_test covers the detector).
+  AdaptiveOptions opt;
+  opt.monitor.time_drift_patience = 1 << 30;
+  AdaptiveReducer red(pool, MachineCoeffs::defaults(), opt);
   std::vector<double> out(in.pattern.dim, 0.0);
   for (int k = 0; k < 10; ++k) {
     std::fill(out.begin(), out.end(), 0.0);
@@ -337,23 +341,26 @@ TEST(AdaptiveReducer, MispredictionSwitchesScheme) {
   EXPECT_NE(red.current(), SchemeKind::kRep);
 }
 
-// ---------------- runtime facade ----------------
+// ---------------- runtime entry point ----------------
 
-TEST(SmartAppsRuntime, SitesAreIndependentAndReported) {
-  SmartAppsRuntime rt(SmartAppsRuntime::Options{
-      .threads = 2, .calibrate = false, .adaptive = {}});
+TEST(Runtime, SitesAreIndependentAndReported) {
+  RuntimeOptions o;
+  o.threads = 2;
+  o.calibrate = false;
+  Runtime rt(o);
   auto in = sparse_input();
   std::vector<double> out(in.pattern.dim, 0.0);
-  rt.reducer("siteA").invoke(in, out);
-  auto& again = rt.reducer("siteA");
-  EXPECT_EQ(again.invocations(), 1u);
+  (void)rt.submit("siteA", in, out);
+  EXPECT_EQ(rt.site("siteA").invocations(), 1u);
   const std::string rep = rt.report();
   EXPECT_NE(rep.find("siteA"), std::string::npos);
   EXPECT_NE(rep.find("2 threads"), std::string::npos);
 }
 
-TEST(SmartAppsRuntime, CalibrationProducesPositiveCoefficients) {
-  SmartAppsRuntime rt(SmartAppsRuntime::Options{.threads = 2});
+TEST(Runtime, CalibrationProducesPositiveCoefficients) {
+  RuntimeOptions o;
+  o.threads = 2;
+  Runtime rt(o);
   const MachineCoeffs& mc = rt.coeffs();
   EXPECT_GT(mc.ns_update, 0.0);
   EXPECT_GT(mc.ns_init, 0.0);
@@ -481,20 +488,24 @@ TEST(DecisionCache, MatchEnforcesDimThreadsAndTolerance) {
   EXPECT_FALSE(DecisionCache::matches(d, drifted, 2, 0.1));
 }
 
+/// uncalibrated(threads) persisting to the store directory `dir`.
+RuntimeOptions persisted(unsigned threads, const StoreDir& dir) {
+  RuntimeOptions o = uncalibrated(threads);
+  o.decision_cache_dir = dir.path();
+  return o;
+}
+
 TEST(Runtime, WarmStartAdoptsCachedSchemeAndSkipsCharacterization) {
   const auto in = sparse_input();
-  const std::string path = ::testing::TempDir() + "core_runtime_cache.json";
+  const StoreDir dir("core_runtime_cache");
   std::vector<double> out(in.pattern.dim, 0.0);
   SchemeKind learned{};
   {
-    Runtime learner(uncalibrated(2));
+    Runtime learner(persisted(2, dir));
     (void)learner.submit("site", in, out);
     learned = learner.site("site").current();
-    ASSERT_TRUE(learner.save_decisions(path));
-  }
-  RuntimeOptions o = uncalibrated(2);
-  o.decision_cache_path = path;
-  Runtime rt(o);
+  }  // the destructor drains the store
+  Runtime rt(persisted(2, dir));
   EXPECT_EQ(rt.warm_entries(), 1u);
   std::fill(out.begin(), out.end(), 0.0);
   (void)rt.submit("site", in, out);
@@ -507,18 +518,15 @@ TEST(Runtime, WarmStartAdoptsCachedSchemeAndSkipsCharacterization) {
   run_sequential(in, ref);
   for (std::size_t e = 0; e < ref.size(); e += 503)
     ASSERT_NEAR(ref[e], out[e], 1e-8);
-  std::remove(path.c_str());
 }
 
 TEST(Runtime, WarmStartFallsBackToColdPathOnSignatureMismatch) {
   const auto in = sparse_input();
-  const std::string path =
-      ::testing::TempDir() + "core_runtime_cache_mismatch.json";
+  const StoreDir dir("core_runtime_cache_mismatch");
   std::vector<double> out(in.pattern.dim, 0.0);
   {
-    Runtime learner(uncalibrated(2));
+    Runtime learner(persisted(2, dir));
     (void)learner.submit("site", in, out);
-    ASSERT_TRUE(learner.save_decisions(path));
   }
   // Same site id, structurally different pattern (dim changed).
   workloads::SynthParams p;
@@ -528,46 +536,46 @@ TEST(Runtime, WarmStartFallsBackToColdPathOnSignatureMismatch) {
   p.refs_per_iter = 3;
   p.seed = 78;
   const auto other = workloads::make_synthetic(p);
-  RuntimeOptions o = uncalibrated(2);
-  o.decision_cache_path = path;
-  Runtime rt(o);
+  Runtime rt(persisted(2, dir));
+  EXPECT_EQ(rt.warm_entries(), 1u);
   std::vector<double> out2(other.pattern.dim, 0.0);
   (void)rt.submit("site", other, out2);
   const AdaptiveReducer& r = rt.site("site");
   EXPECT_FALSE(r.warm_started());
   EXPECT_EQ(r.recharacterizations(), 1u);  // cold path taken
-  std::remove(path.c_str());
 }
 
 TEST(Runtime, WarmSnapshotCarriesEvidenceAndPredictionForward) {
   const auto in = sparse_input();
-  const std::string path =
-      ::testing::TempDir() + "core_runtime_cache_carry.json";
+  const StoreDir dir("core_runtime_cache_carry");
   std::vector<double> out(in.pattern.dim, 0.0);
   std::string original_rationale;
   {
-    Runtime learner(uncalibrated(2));
+    Runtime learner(persisted(2, dir));
     for (int k = 0; k < 5; ++k) (void)learner.submit("site", in, out);
     original_rationale = learner.site("site").decision().rationale;
-    ASSERT_TRUE(learner.save_decisions(path));
   }
-  const auto saved = DecisionCache::load(path);
-  ASSERT_TRUE(saved.has_value());
-  EXPECT_GT(saved->find("site")->predicted_total_s, 0.0);
-  EXPECT_EQ(saved->find("site")->invocations, 5u);
-
-  // A warm-started run that saves again must accumulate evidence and
-  // keep the original decider rationale, not reset both.
-  RuntimeOptions o = uncalibrated(2);
-  o.decision_cache_path = path;
-  Runtime rt(o);
-  for (int k = 0; k < 3; ++k) (void)rt.submit("site", in, out);
-  ASSERT_TRUE(rt.site("site").warm_started());
-  const DecisionCache resaved = rt.snapshot_decisions();
-  EXPECT_EQ(resaved.find("site")->invocations, 8u);  // 5 inherited + 3
-  EXPECT_EQ(resaved.find("site")->rationale, original_rationale);
-  EXPECT_GT(resaved.find("site")->predicted_total_s, 0.0);
-  std::remove(path.c_str());
+  {
+    // A warm-started run that persists again must accumulate evidence
+    // and keep the original decider rationale, not reset both.
+    Runtime rt(persisted(2, dir));
+    const DecisionCache saved = rt.persisted_decisions();
+    ASSERT_NE(saved.find("site"), nullptr);
+    EXPECT_GT(saved.find("site")->predicted_total_s, 0.0);
+    EXPECT_EQ(saved.find("site")->invocations, 5u);
+    for (int k = 0; k < 3; ++k) (void)rt.submit("site", in, out);
+    ASSERT_TRUE(rt.site("site").warm_started());
+    const DecisionCache resaved = rt.snapshot_decisions();
+    EXPECT_EQ(resaved.find("site")->invocations, 8u);  // 5 inherited + 3
+    EXPECT_EQ(resaved.find("site")->rationale, original_rationale);
+    EXPECT_GT(resaved.find("site")->predicted_total_s, 0.0);
+  }
+  // And the accumulated evidence is what the next run reloads.
+  const Runtime next(persisted(2, dir));
+  const DecisionCache reloaded = next.persisted_decisions();
+  ASSERT_NE(reloaded.find("site"), nullptr);
+  EXPECT_EQ(reloaded.find("site")->invocations, 8u);
+  EXPECT_EQ(reloaded.find("site")->rationale, original_rationale);
 }
 
 TEST(Runtime, WarmStartWithPoisonedCacheEscapesViaRecharacterization) {
@@ -575,20 +583,16 @@ TEST(Runtime, WarmStartWithPoisonedCacheEscapesViaRecharacterization) {
   // file) must not pin the site forever: sustained overruns against the
   // cached prediction re-characterize on fresh evidence.
   const auto in = sparse_input();
-  DecisionCache cache;
   CachedDecision d;
   d.site = "site";
   d.scheme = SchemeKind::kRep;  // pessimal for this sparse pattern
   d.threads = 2;
   d.signature = PatternSignature::of(in.pattern);
   d.predicted_total_s = 1e-12;  // everything overruns this
-  cache.put(d);
-  const std::string path =
-      ::testing::TempDir() + "core_runtime_cache_poison.json";
-  ASSERT_TRUE(cache.save(path));
+  const StoreDir dir("core_runtime_cache_poison");
+  ASSERT_EQ(write_decisions(dir.path(), {d}), 1u);
 
-  RuntimeOptions o = uncalibrated(2);
-  o.decision_cache_path = path;
+  RuntimeOptions o = persisted(2, dir);
   o.adaptive.mispredict_ratio = 2.0;
   o.adaptive.mispredict_patience = 2;
   Runtime rt(o);
@@ -599,26 +603,21 @@ TEST(Runtime, WarmStartWithPoisonedCacheEscapesViaRecharacterization) {
   for (int k = 0; k < 6; ++k) (void)rt.submit("site", in, out);
   EXPECT_GE(rt.site("site").recharacterizations(), 1u);
   EXPECT_FALSE(rt.site("site").warm_started());
-  std::remove(path.c_str());
 }
 
 TEST(Runtime, ThreadCountMismatchInvalidatesCachedDecision) {
   const auto in = sparse_input();
-  const std::string path =
-      ::testing::TempDir() + "core_runtime_cache_threads.json";
+  const StoreDir dir("core_runtime_cache_threads");
   std::vector<double> out(in.pattern.dim, 0.0);
   {
-    Runtime learner(uncalibrated(2));
+    Runtime learner(persisted(2, dir));
     (void)learner.submit("site", in, out);
-    ASSERT_TRUE(learner.save_decisions(path));
   }
-  RuntimeOptions o = uncalibrated(4);  // decision was learned under 2
-  o.decision_cache_path = path;
-  Runtime rt(o);
+  Runtime rt(persisted(4, dir));  // decision was learned under 2
+  EXPECT_EQ(rt.warm_entries(), 1u);
   (void)rt.submit("site", in, out);
   EXPECT_FALSE(rt.site("site").warm_started());
   EXPECT_EQ(rt.site("site").recharacterizations(), 1u);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "core/runtime.hpp"
+#include "store_dir.hpp"
 #include "workloads/workload.hpp"
 
 namespace sapp {
@@ -245,7 +245,6 @@ TEST(Runtime, StalePhaseHistoryWarmStartRecharacterizesWithinWindow) {
   // it against fresh measurements, and re-characterize within the first
   // monitored window instead of trusting the stale scheme forever.
   const auto in = big_sparse_input();
-  DecisionCache cache;
   CachedDecision d;
   d.site = "site";
   d.scheme = SchemeKind::kRep;  // pessimal here: tiny touched set, huge dim
@@ -253,16 +252,14 @@ TEST(Runtime, StalePhaseHistoryWarmStartRecharacterizesWithinWindow) {
   d.signature = PatternSignature::of(in.pattern);
   d.predicted_total_s = 0.0;  // keep the model-prediction path out of it
   d.phase_times_s = {2e-6, 2e-6, 3e-6, 2e-6};
-  cache.put(d);
-  const std::string path =
-      ::testing::TempDir() + "phase_drift_stale_history.json";
-  ASSERT_TRUE(cache.save(path));
+  const StoreDir dir("phase_drift_stale_history");
+  ASSERT_EQ(write_decisions(dir.path(), {d}), 1u);
 
   RuntimeOptions o;
   o.threads = 2;
   o.calibrate = false;
   o.adaptive.mispredict_patience = 1 << 30;  // isolate the history path
-  o.decision_cache_path = path;
+  o.decision_cache_dir = dir.path();
   Runtime rt(o);
   const int window = o.adaptive.monitor.window();
   std::vector<double> out(in.pattern.dim, 0.0);
@@ -279,36 +276,35 @@ TEST(Runtime, StalePhaseHistoryWarmStartRecharacterizesWithinWindow) {
   EXPECT_LE(recharacterized_at, window);
   EXPECT_GE(rt.site("site").time_drift_demotions(), 1u);
   EXPECT_FALSE(rt.site("site").warm_started());
-  std::remove(path.c_str());
 }
 
 TEST(Runtime, HonestWarmStartKeepsTheCachedScheme) {
   // The counterpart: history recorded on this host, for this input, must
   // NOT be contradicted — the warm start sticks.
   const auto in = big_sparse_input();
-  const std::string path =
-      ::testing::TempDir() + "phase_drift_honest_history.json";
+  const StoreDir dir("phase_drift_honest_history");
   std::vector<double> out(in.pattern.dim, 0.0);
   RuntimeOptions o;
   o.threads = 2;
   o.calibrate = false;
   o.adaptive.mispredict_patience = 1 << 30;
+  o.decision_cache_dir = dir.path();
   {
     Runtime learner(o);
     for (int k = 0; k < 6; ++k) (void)learner.submit("site", in, out);
-    ASSERT_TRUE(learner.save_decisions(path));
     const DecisionCache snap = learner.snapshot_decisions();
     EXPECT_FALSE(snap.find("site")->phase_times_s.empty());
-  }
+  }  // the destructor drains the store
   RuntimeOptions w = o;
-  w.decision_cache_path = path;
+  // No background flush while the warm run is measured.
+  w.flush_interval_s = 3600.0;
   Runtime rt(w);
+  EXPECT_EQ(rt.warm_entries(), 1u);
   const int window = o.adaptive.monitor.window();
   for (int k = 0; k < window + 2; ++k) (void)rt.submit("site", in, out);
   EXPECT_TRUE(rt.site("site").warm_started());
   EXPECT_EQ(rt.site("site").recharacterizations(), 0u);
   EXPECT_EQ(rt.site("site").time_drift_demotions(), 0u);
-  std::remove(path.c_str());
 }
 
 TEST(AdaptiveReducer, FrozenDecisionsReplanButNeverRedecide) {

@@ -9,15 +9,13 @@
 // table.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <chrono>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/runtime.hpp"
+#include "store_dir.hpp"
 #include "workloads/workload.hpp"
 
 namespace sapp {
@@ -176,12 +174,7 @@ TEST(RuntimeEviction, TableStaysBoundedThroughSustainedChurn) {
 // identical — with eviction churn in between, so the knowledge crossing
 // the restart went through evict → persist → reload, not live memory.
 TEST(RuntimeEviction, RestartReloadsShardedStoreAndWarmStarts) {
-  namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() /
-       ("sapp_evict_restart." + std::to_string(::getpid())))
-          .string();
-  fs::remove_all(dir);
+  const StoreDir dir("sapp_evict_restart");
 
   constexpr int kSites = 6;
   std::vector<ReductionInput> in;
@@ -194,7 +187,7 @@ TEST(RuntimeEviction, RestartReloadsShardedStoreAndWarmStarts) {
   }
 
   RuntimeOptions o = quiet_options();
-  o.decision_cache_dir = dir;
+  o.decision_cache_dir = dir.path();
   o.max_sites = 3;  // smaller than kSites: decisions cross via the store
   {
     Runtime rt(o);
@@ -239,7 +232,6 @@ TEST(RuntimeEviction, RestartReloadsShardedStoreAndWarmStarts) {
   }
   EXPECT_GE(rt2.warm_offers(), static_cast<std::uint64_t>(kSites))
       << "every returning site found a cached decision";
-  fs::remove_all(dir);
 }
 
 TEST(RuntimeEviction, SweepIsANoOpWithoutCapOrTtl) {
